@@ -28,14 +28,30 @@ func BindingsKey(b symbolic.Bindings) string {
 	sort.Strings(names)
 	buf := make([]byte, 0, n+len(b)*8)
 	for i, k := range names {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, k...)
-		buf = append(buf, '=')
-		buf = strconv.AppendInt(buf, b[k], 10)
+		buf = appendPair(buf, i, k, b[k])
 	}
 	return string(buf)
+}
+
+// AppendSortedKey appends the BindingsKey encoding of the bindings
+// names[i]=values[i] to dst. names must already be sorted and distinct,
+// as BindingsKey would sort a map's names; callers that hold a request's
+// canonical order use it to build the key without re-sorting.
+func AppendSortedKey(dst []byte, names []string, values []int64) []byte {
+	for i, k := range names {
+		dst = appendPair(dst, i, k, values[i])
+	}
+	return dst
+}
+
+// appendPair appends the i-th "name=value" pair of a canonical key.
+func appendPair(dst []byte, i int, name string, v int64) []byte {
+	if i > 0 {
+		dst = append(dst, ',')
+	}
+	dst = append(dst, name...)
+	dst = append(dst, '=')
+	return strconv.AppendInt(dst, v, 10)
 }
 
 // BindingsHash returns a 64-bit FNV-1a hash of the canonical encoding,

@@ -1,6 +1,7 @@
 package attrdb
 
 import (
+	"sort"
 	"testing"
 
 	"github.com/hybridsel/hybridsel/internal/symbolic"
@@ -54,5 +55,35 @@ func TestBindingsHash(t *testing.T) {
 	}
 	if BindingsHash(nil) != BindingsHash(symbolic.Bindings{}) {
 		t.Fatal("nil and empty must hash equal")
+	}
+}
+
+// TestSortedKeyAgreesWithBindingsKey pins the identities the client
+// relies on when it canonicalises a request once: AppendSortedKey over
+// the sorted names equals BindingsKey, and KeyHash of that key equals
+// BindingsHash of the bindings.
+func TestSortedKeyAgreesWithBindingsKey(t *testing.T) {
+	for _, b := range []symbolic.Bindings{
+		nil,
+		{"n": 1100},
+		{"n": 1100, "m": -64, "k": 0},
+		{"tsteps": 1 << 40, "n": -1},
+	} {
+		names := make([]string, 0, len(b))
+		for k := range b {
+			names = append(names, k)
+		}
+		sort.Strings(names)
+		values := make([]int64, len(names))
+		for i, k := range names {
+			values[i] = b[k]
+		}
+		key := string(AppendSortedKey(nil, names, values))
+		if want := BindingsKey(b); key != want {
+			t.Fatalf("AppendSortedKey = %q, BindingsKey = %q", key, want)
+		}
+		if KeyHash(key) != BindingsHash(b) {
+			t.Fatalf("KeyHash(%q) != BindingsHash", key)
+		}
 	}
 }

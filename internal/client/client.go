@@ -33,13 +33,13 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/hybridsel/hybridsel/internal/attrdb"
 	"github.com/hybridsel/hybridsel/internal/offload"
 	"github.com/hybridsel/hybridsel/internal/server"
 	"github.com/hybridsel/hybridsel/internal/symbolic"
@@ -315,15 +315,6 @@ func (c *Client) WritePrometheus(w io.Writer) error {
 	return c.Metrics().WritePrometheus(w)
 }
 
-// requestKey canonicalizes a request for coalescing.
-func requestKey(req server.DecideRequest) string {
-	key := req.Region + "\x00" + attrdb.BindingsKey(symbolic.Bindings(req.Bindings))
-	if req.Execute {
-		key += "\x00x"
-	}
-	return key
-}
-
 // Decide returns a verdict for one decision request. Identical
 // decide-only requests in flight at once share a single network call;
 // with batching enabled (Config.BatchWindow) concurrent calls ride one
@@ -333,7 +324,7 @@ func (c *Client) Decide(ctx context.Context, req server.DecideRequest) (*Verdict
 	if req.Execute {
 		// Execute dispatches work on the daemon: no coalescing with
 		// decide-only traffic, no batching, and never hedged.
-		return c.decideRemoteOrFallback(ctx, req)
+		return c.decideRemoteOrFallback(ctx, c.newPayload(req))
 	}
 	if c.batcher != nil {
 		return c.batcher.decide(ctx, req)
@@ -344,7 +335,8 @@ func (c *Client) Decide(ctx context.Context, req server.DecideRequest) (*Verdict
 // decideCoalesced funnels identical concurrent decide-only requests into
 // one in-flight call.
 func (c *Client) decideCoalesced(ctx context.Context, req server.DecideRequest) (*Verdict, error) {
-	key := requestKey(req)
+	p := c.newPayload(req)
+	key := p.one.key
 	c.fmu.Lock()
 	if fl, ok := c.inflight[key]; ok {
 		c.fmu.Unlock()
@@ -365,7 +357,7 @@ func (c *Client) decideCoalesced(ctx context.Context, req server.DecideRequest) 
 	c.inflight[key] = fl
 	c.fmu.Unlock()
 
-	v, err := c.decideRemoteOrFallback(ctx, req)
+	v, err := c.decideRemoteOrFallback(ctx, p)
 	fl.v, fl.err = v, err
 	c.fmu.Lock()
 	delete(c.inflight, key)
@@ -376,20 +368,8 @@ func (c *Client) decideCoalesced(ctx context.Context, req server.DecideRequest) 
 
 // decideRemoteOrFallback is the per-request pipeline: breaker → retries
 // (+hedging) → fallback.
-func (c *Client) decideRemoteOrFallback(ctx context.Context, req server.DecideRequest) (*Verdict, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: encode request: %w", err)
-	}
-	p := payload{json: body}
-	if c.wireEnabled() {
-		p.wire = c.encodeWireSingle(req)
-	}
-	if !req.Execute && c.streamEnabled() {
-		wr := c.toWireRequest(req)
-		p.wreq = &wr
-	}
-	res, hedged, attempts, rerr := c.roundTrip(ctx, p, !req.Execute)
+func (c *Client) decideRemoteOrFallback(ctx context.Context, p *payload) (*Verdict, error) {
+	res, hedged, attempts, rerr := c.roundTrip(ctx, p, !p.one.Execute)
 	if rerr == nil {
 		var resp server.DecideResponseV2
 		if res.frame != nil {
@@ -408,7 +388,7 @@ func (c *Client) decideRemoteOrFallback(ctx context.Context, req server.DecideRe
 	if errors.As(rerr, &perm) {
 		return nil, rerr
 	}
-	v, ferr := c.fallbackOne(req, attempts)
+	v, ferr := c.fallbackOne(p.one.DecideRequest, attempts)
 	if ferr != nil {
 		return nil, fmt.Errorf("%w (fallback: %w)", rerr, ferr)
 	}
@@ -434,7 +414,7 @@ func (c *Client) decideBatch(ctx context.Context, reqs []server.DecideRequest) (
 	c.met.batchCalls.Add(1)
 
 	// Client-side coalescing: send each distinct request once.
-	unique := make([]server.DecideRequest, 0, len(reqs))
+	unique := make([]request, 0, len(reqs))
 	slot := make([]int, len(reqs)) // request index -> unique index
 	byKey := map[string]int{}
 	canHedge := true
@@ -442,12 +422,12 @@ func (c *Client) decideBatch(ctx context.Context, reqs []server.DecideRequest) (
 		if req.Execute {
 			canHedge = false
 		}
-		key := requestKey(req)
-		u, ok := byKey[key]
+		r := prepare(req)
+		u, ok := byKey[r.key]
 		if !ok {
 			u = len(unique)
-			byKey[key] = u
-			unique = append(unique, req)
+			byKey[r.key] = u
+			unique = append(unique, r)
 		} else {
 			c.met.coalesced.Add(1)
 		}
@@ -484,18 +464,8 @@ func sameSlotEarlier(slot []int, i int) bool {
 
 // batchRemoteOrFallback sends one batched call, degrading every item to
 // the fallback runtime if the remote is unavailable.
-func (c *Client) batchRemoteOrFallback(ctx context.Context, unique []server.DecideRequest, canHedge bool) ([]server.DecideResponseV2, Provenance, string, int, error) {
-	body, err := json.Marshal(struct {
-		Requests []server.DecideRequest `json:"requests"`
-	}{unique})
-	if err != nil {
-		return nil, "", "", 0, fmt.Errorf("client: encode batch: %w", err)
-	}
-	p := payload{json: body, batch: true}
-	if c.wireEnabled() {
-		p.wire = c.encodeWireBatch(unique)
-	}
-	res, hedged, attempts, rerr := c.roundTrip(ctx, p, canHedge)
+func (c *Client) batchRemoteOrFallback(ctx context.Context, unique []request, canHedge bool) ([]server.DecideResponseV2, Provenance, string, int, error) {
+	res, hedged, attempts, rerr := c.roundTrip(ctx, c.newBatchPayload(unique), canHedge)
 	if rerr == nil {
 		var results []server.DecideResponseV2
 		if res.frame != nil {
@@ -526,8 +496,8 @@ func (c *Client) batchRemoteOrFallback(ctx context.Context, unique []server.Deci
 		return nil, "", "", 0, rerr
 	}
 	results := make([]server.DecideResponseV2, len(unique))
-	for i, req := range unique {
-		v, ferr := c.fallbackOne(req, attempts)
+	for i := range unique {
+		v, ferr := c.fallbackOne(unique[i].DecideRequest, attempts)
 		if ferr != nil {
 			return nil, "", "", 0, fmt.Errorf("%w (fallback: %w)", rerr, ferr)
 		}
@@ -602,7 +572,7 @@ type callErr struct {
 // roundTrip runs the breaker → hedged attempt → backoff loop and returns
 // the decoded 200 response: the raw body for JSON attempts, the decoded
 // frame for binary ones.
-func (c *Client) roundTrip(ctx context.Context, p payload, canHedge bool) (rtResult, bool, int, error) {
+func (c *Client) roundTrip(ctx context.Context, p *payload, canHedge bool) (rtResult, bool, int, error) {
 	var lastErr error
 	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
 		if !c.breaker.Allow() {
@@ -657,59 +627,35 @@ func (c *Client) backoff(attempt int) time.Duration {
 
 // hedgedAttempt runs one attempt, racing a duplicate after the hedge
 // delay when allowed. It reports whether the hedge produced the result.
-func (c *Client) hedgedAttempt(ctx context.Context, p payload, canHedge bool) (rtResult, bool, *callErr) {
-	delay := c.hedgeDelay(canHedge, p.wreq != nil && c.streamEnabled())
-	if delay <= 0 {
-		res, cerr := c.attempt(ctx, p)
-		return res, false, cerr
+func (c *Client) hedgedAttempt(ctx context.Context, p *payload, canHedge bool) (rtResult, bool, *callErr) {
+	delay := c.hedgeDelay(canHedge, p.stream && c.streamEnabled())
+	out, hedged, _, err := race(ctx, delay, c.cfg.Timeout, &c.met.hedges, attemptRunner{c, p})
+	if err != nil {
+		return rtResult{}, false, &callErr{err: err}
 	}
+	if hedged {
+		c.met.hedgeWins.Add(1)
+	}
+	return out.res, hedged, out.cerr
+}
 
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		res   rtResult
-		cerr  *callErr
-		hedge bool
-	}
-	results := make(chan outcome, 2)
-	launch := func(hedge bool) {
-		res, cerr := c.attempt(actx, p)
-		results <- outcome{res: res, cerr: cerr, hedge: hedge}
-	}
-	go launch(false)
+// attemptRunner runs one attempt of a call for the hedge race.
+type attemptRunner struct {
+	c *Client
+	p *payload
+}
 
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	launched, returned := 1, 0
-	var firstErr *callErr
-	for {
-		select {
-		case out := <-results:
-			returned++
-			if out.cerr == nil {
-				if out.hedge {
-					c.met.hedgeWins.Add(1)
-				}
-				return out.res, out.hedge, nil
-			}
-			if firstErr == nil || !out.hedge {
-				// Prefer reporting the primary's error: the hedge's is
-				// usually a cancellation echo.
-				firstErr = out.cerr
-			}
-			if returned == launched {
-				return rtResult{}, false, firstErr
-			}
-		case <-timer.C:
-			if launched == 1 {
-				launched = 2
-				c.met.hedges.Add(1)
-				go launch(true)
-			}
-		case <-ctx.Done():
-			return rtResult{}, false, &callErr{err: ctx.Err(), retryable: false}
-		}
-	}
+// attemptOut is one attempt's result.
+type attemptOut struct {
+	res  rtResult
+	cerr *callErr
+}
+
+func (o attemptOut) ok() bool { return o.cerr == nil }
+
+func (a attemptRunner) run(ctx context.Context, _ bool) attemptOut {
+	res, cerr := a.c.attempt(ctx, a.p)
+	return attemptOut{res, cerr}
 }
 
 // hedgeDelay returns the delay before a duplicate request is launched
@@ -749,20 +695,24 @@ func (c *Client) hedgeDelay(canHedge, stream bool) time.Duration {
 // to JSON. A stream failure at the transport level (dead connection,
 // Goaway, reconnect backoff) falls through to HTTP inside this same
 // attempt, so connection death never costs a verdict — the in-flight
-// request fails over immediately.
-func (c *Client) attempt(ctx context.Context, p payload) (rtResult, *callErr) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
-	defer cancel()
-	if p.wreq != nil && c.streamEnabled() {
+// request fails over immediately. actx carries the attempt deadline.
+func (c *Client) attempt(actx context.Context, p *payload) (rtResult, *callErr) {
+	if p.stream && c.streamEnabled() {
 		if res, cerr, resolved := c.streamAttempt(actx, p); resolved {
 			return res, cerr
 		}
 		c.met.streamFallbacks.Add(1)
 	}
-	body, contentType := p.json, "application/json"
-	useWire := p.wire != nil && !c.wireDown.Load()
+	useWire := p.frames && !c.wireDown.Load()
+	var body []byte
+	contentType := "application/json"
 	if useWire {
-		body, contentType = p.wire, wire.ContentType
+		body, contentType = p.wireBody(), wire.ContentType
+	} else {
+		var err error
+		if body, err = p.jsonBody(); err != nil {
+			return rtResult{}, &callErr{err: fmt.Errorf("client: encode request: %w", err)}
+		}
 	}
 	req, err := http.NewRequestWithContext(actx, http.MethodPost,
 		c.cfg.BaseURL+"/v2/decide", bytes.NewReader(body))
@@ -942,7 +892,8 @@ func parseRetryAfter(v string) time.Duration {
 type latencySampler struct {
 	mu      sync.Mutex
 	ring    [256]int64
-	n       int // total observations
+	sorted  [256]int64 // p99's sort buffer, reused between recomputations
+	n       int        // total observations
 	cached  time.Duration
 	cachedN int
 }
@@ -956,29 +907,21 @@ func (s *latencySampler) observe(d time.Duration) {
 	s.mu.Unlock()
 }
 
-// p99 returns the 99th percentile of the ring, or 0 with fewer than min
-// observations. Recomputed every 32 observations; cached in between.
-func (s *latencySampler) p99(min int) time.Duration {
+// p99 returns the 99th percentile of the ring, or 0 with fewer than
+// minSamples observations. Recomputed every 32 observations; cached in between.
+func (s *latencySampler) p99(minSamples int) time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.n < min {
+	if s.n < minSamples {
 		return 0
 	}
 	if s.cachedN != 0 && s.n-s.cachedN < 32 {
 		return s.cached
 	}
-	size := s.n
-	if size > len(s.ring) {
-		size = len(s.ring)
-	}
-	buf := make([]int64, size)
+	size := min(s.n, len(s.ring))
+	buf := s.sorted[:size]
 	copy(buf, s.ring[:size])
-	// Insertion sort: size ≤ 256 and this runs every 32 observations.
-	for i := 1; i < len(buf); i++ {
-		for j := i; j > 0 && buf[j] < buf[j-1]; j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
-		}
-	}
+	slices.Sort(buf)
 	s.cached = time.Duration(buf[(size-1)*99/100])
 	s.cachedN = s.n
 	return s.cached

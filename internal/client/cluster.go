@@ -245,64 +245,44 @@ func (cc *ClusterClient) Decide(ctx context.Context, req server.DecideRequest) (
 // own hedge. tried reports how many replicas of the order the race
 // consumed, so failover resumes after them.
 func (cc *ClusterClient) decidePrimary(ctx context.Context, req server.DecideRequest, order []string) (v *Verdict, tried int, err error) {
-	primary := cc.clients[order[0]]
-	delay := cc.hedgeDelay(primary, req, len(order) > 1)
-	if delay <= 0 {
-		v, err := primary.Decide(ctx, req)
-		if err == nil {
-			v.Replica = order[0]
-		}
-		return v, 1, err
+	delay := cc.hedgeDelay(cc.clients[order[0]], req, len(order) > 1)
+	out, hedged, tried, err := race(ctx, delay, 0, &cc.met.crossHedges, replicaRunner{cc, req, order})
+	if err != nil {
+		return nil, tried, err
 	}
+	if hedged {
+		cc.met.crossHedgeWins.Add(1)
+		out.v.Provenance = ProvenanceHedged
+	}
+	return out.v, tried, out.err
+}
 
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		v     *Verdict
-		err   error
-		hedge bool
-	}
-	results := make(chan outcome, 2)
-	launch := func(id string, hedge bool) {
-		v, err := cc.clients[id].Decide(actx, req)
-		if v != nil {
-			v.Replica = id
-		}
-		results <- outcome{v: v, err: err, hedge: hedge}
-	}
-	go launch(order[0], false)
+// replicaRunner runs one call of the cross-replica hedge race: the
+// primary at the ring owner, the hedge at its first successor.
+type replicaRunner struct {
+	cc    *ClusterClient
+	req   server.DecideRequest
+	order []string
+}
 
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	launched, returned := 1, 0
-	var firstErr error
-	for {
-		select {
-		case out := <-results:
-			returned++
-			if out.err == nil {
-				if out.hedge {
-					cc.met.crossHedgeWins.Add(1)
-					out.v.Provenance = ProvenanceHedged
-				}
-				return out.v, launched, nil
-			}
-			if firstErr == nil || !out.hedge {
-				firstErr = out.err
-			}
-			if returned == launched {
-				return nil, launched, firstErr
-			}
-		case <-timer.C:
-			if launched == 1 {
-				launched = 2
-				cc.met.crossHedges.Add(1)
-				go launch(order[1], true)
-			}
-		case <-ctx.Done():
-			return nil, launched, ctx.Err()
-		}
+// replicaOut is one replica's answer.
+type replicaOut struct {
+	v   *Verdict
+	err error
+}
+
+func (o replicaOut) ok() bool { return o.err == nil }
+
+func (r replicaRunner) run(ctx context.Context, hedge bool) replicaOut {
+	id := r.order[0]
+	if hedge {
+		id = r.order[1]
 	}
+	v, err := r.cc.clients[id].Decide(ctx, r.req)
+	if v != nil {
+		v.Replica = id
+	}
+	return replicaOut{v, err}
 }
 
 // hedgeDelay picks the cross-replica hedge delay for one request.

@@ -73,7 +73,7 @@ type StreamConn struct {
 	nextID atomic.Uint64
 
 	mu      sync.Mutex
-	waiters map[uint64]chan *wire.Response
+	waiters map[uint64]chan *wire.Frame
 	away    bool
 	dead    bool
 	err     error
@@ -121,7 +121,7 @@ func DialStream(cfg StreamDialConfig) (*StreamConn, error) {
 		conn:    conn,
 		credit:  credit,
 		sem:     make(chan struct{}, credit),
-		waiters: make(map[uint64]chan *wire.Response, credit),
+		waiters: make(map[uint64]chan *wire.Frame, credit),
 		done:    make(chan struct{}),
 		wbuf:    make([]byte, 0, 2048),
 	}
@@ -206,6 +206,20 @@ func (sc *StreamConn) Close() error {
 // over; a response with Err set is returned as-is for the caller to
 // classify, exactly like an HTTP error envelope.
 func (sc *StreamConn) Decide(ctx context.Context, req *wire.Request) (*wire.Response, error) {
+	f, err := sc.exchange(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	return f.Resp, nil
+}
+
+// replyChans recycles the one-shot channels stream calls wait on. Only
+// a channel whose reply was received goes back: an abandoned one may
+// still get a late send from the reader.
+var replyChans = sync.Pool{New: func() any { return make(chan *wire.Frame, 1) }}
+
+// exchange is Decide returning the whole response frame.
+func (sc *StreamConn) exchange(ctx context.Context, req *wire.Request) (*wire.Frame, error) {
 	// Claim a unit of the credit window; the reader returns it when the
 	// response (any response) arrives.
 	select {
@@ -216,7 +230,6 @@ func (sc *StreamConn) Decide(ctx context.Context, req *wire.Request) (*wire.Resp
 		return nil, ctx.Err()
 	}
 	id := sc.nextID.Add(1)
-	ch := make(chan *wire.Response, 1)
 	sc.mu.Lock()
 	if sc.dead {
 		sc.mu.Unlock()
@@ -227,6 +240,7 @@ func (sc *StreamConn) Decide(ctx context.Context, req *wire.Request) (*wire.Resp
 		sc.sem <- struct{}{}
 		return nil, errStreamGoaway
 	}
+	ch := replyChans.Get().(chan *wire.Frame)
 	sc.waiters[id] = ch
 	sc.mu.Unlock()
 
@@ -237,8 +251,9 @@ func (sc *StreamConn) Decide(ctx context.Context, req *wire.Request) (*wire.Resp
 		return nil, err
 	}
 	select {
-	case resp := <-ch:
-		return resp, nil
+	case f := <-ch:
+		replyChans.Put(ch)
+		return f, nil
 	case <-sc.done:
 		return nil, sc.deathErr()
 	case <-ctx.Done():
@@ -279,13 +294,15 @@ func (sc *StreamConn) readLoop(sr *wire.StreamReader) {
 			ch := sc.waiters[f.StreamID]
 			delete(sc.waiters, f.StreamID)
 			sc.mu.Unlock()
-			if ch != nil {
-				ch <- f.Resp
-			}
-			// Return the credit unit (also for abandoned waiters).
+			// Return the credit unit (also for abandoned waiters) before
+			// delivering: a caller that sends again the moment it reads
+			// its reply must find the unit free (DESIGN.md §15).
 			select {
 			case sc.sem <- struct{}{}:
 			default:
+			}
+			if ch != nil {
+				ch <- f
 			}
 		case wire.TypeGoaway:
 			sc.mu.Lock()
@@ -435,14 +452,14 @@ func (c *Client) downgradeStream() {
 // return distinguishes a classified outcome (resolved: deliver or
 // retry via the normal loop) from a transport-level failure (not
 // resolved: the caller falls through to HTTP inside the same attempt).
-func (c *Client) streamAttempt(ctx context.Context, p payload) (rtResult, *callErr, bool) {
+func (c *Client) streamAttempt(ctx context.Context, p *payload) (rtResult, *callErr, bool) {
 	sc, err := c.spool.get()
 	if err != nil {
 		return rtResult{}, nil, false
 	}
 	c.met.streamCalls.Add(1)
 	start := time.Now()
-	resp, err := sc.Decide(ctx, p.wreq)
+	f, err := sc.exchange(ctx, &p.wreq)
 	if err != nil {
 		if ctx.Err() != nil {
 			// The attempt deadline cut the wait short: that is this
@@ -451,11 +468,11 @@ func (c *Client) streamAttempt(ctx context.Context, p payload) (rtResult, *callE
 		}
 		return rtResult{}, nil, false
 	}
-	if resp.Err != nil {
+	if e := f.Resp.Err; e != nil {
 		re := remoteErr{
-			code:       resp.Err.Code,
-			msg:        resp.Err.Message,
-			retryAfter: time.Duration(resp.Err.RetryAfterSeconds * float64(time.Second)),
+			code:       e.Code,
+			msg:        e.Message,
+			retryAfter: time.Duration(e.RetryAfterSeconds * float64(time.Second)),
 		}
 		switch {
 		case re.code == server.ErrCodeQueueFull:
@@ -478,13 +495,10 @@ func (c *Client) streamAttempt(ctx context.Context, p payload) (rtResult, *callE
 		default:
 			c.met.permanentErrors.Add(1)
 			return rtResult{}, &callErr{
-				err: &permanentError{status: resp.Err.Status, code: re.code, msg: re.msg},
+				err: &permanentError{status: e.Status, code: re.code, msg: re.msg},
 			}, true
 		}
 	}
 	c.latStream.observe(time.Since(start))
-	return rtResult{
-		frame:     &wire.Frame{Type: wire.TypeStreamResponse, Resp: resp},
-		transport: TransportStream,
-	}, nil, true
+	return rtResult{frame: f, transport: TransportStream}, nil, true
 }

@@ -14,6 +14,7 @@ import (
 
 	"github.com/hybridsel/hybridsel/internal/faultnet"
 	"github.com/hybridsel/hybridsel/internal/server"
+	"github.com/hybridsel/hybridsel/internal/wire"
 )
 
 // realStreamDaemon stands up a live server over the fallback-runtime
@@ -341,4 +342,89 @@ func TestChaosStreamMidKillLosesNoVerdicts(t *testing.T) {
 	}
 	t.Logf("chaos stream: transports %v, reconnects=%d fallbacks=%d proxy=%+v",
 		total, m.StreamReconnects, m.StreamFallbacks, proxy.Stats())
+}
+
+// TestStreamCreditReturnedBeforeDelivery: the reader returns a reply's
+// credit unit before handing the reply to its caller, so a caller that
+// sends again the moment it reads its reply finds its window open. The
+// test holds the reply undelivered (an unbuffered waiter channel nobody
+// reads yet) and checks that the credit is already back.
+func TestStreamCreditReturnedBeforeDelivery(t *testing.T) {
+	srv, err := server.New(server.Config{
+		Runtime:      fallbackRuntime(t),
+		Logger:       slog.New(slog.NewTextHandler(io.Discard, nil)),
+		StreamCredit: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = l.Close() })
+	go func() { _ = srv.ServeStream(l) }()
+	sc, err := DialStream(StreamDialConfig{Addr: l.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+
+	// Decide by hand, with a waiter channel the test controls.
+	<-sc.sem
+	id := sc.nextID.Add(1)
+	ch := make(chan *wire.Frame)
+	sc.mu.Lock()
+	sc.waiters[id] = ch
+	sc.mu.Unlock()
+	req := wire.Request{Region: "gemm", Names: []string{"n"}, Values: []int64{1100}}
+	if err := sc.write(id, &req); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(sc.sem) != sc.credit {
+		if time.Now().After(deadline) {
+			t.Fatal("credit unit not returned while the reply waits for delivery")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if f := <-ch; f.StreamID != id || f.Resp.Err != nil {
+		t.Fatalf("reply %+v, want a verdict on stream %d", f, id)
+	}
+}
+
+// streamDecideAllocs pins the allocations of one in-process
+// Client.Decide round trip over the stream transport (client and
+// server together), with a hedge armed on every call as in steady
+// state. The hedge delay is fixed far beyond any round trip so that no
+// hedge fires and the count stays exact under load.
+const streamDecideAllocs = 27
+
+func TestStreamDecideAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector perturbs allocation counts")
+	}
+	url, addr := realStreamDaemon(t)
+	c := newTestClient(t, Config{
+		BaseURL: url, Stream: true, StreamAddr: addr, StreamConns: 1,
+		RegionParams: func(string) []string { return []string{"n"} },
+		HedgeAfter:   time.Hour,
+	})
+	ctx := context.Background()
+	req := gemmReq()
+	// Warm the decision cache and the connection.
+	for i := 0; i < 20; i++ {
+		if _, err := c.Decide(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if v, err := c.Decide(ctx, req); err != nil || v.Transport != TransportStream {
+			t.Fatalf("decide: %v %+v", err, v)
+		}
+	})
+	t.Logf("%.1f allocs per stream Decide", allocs)
+	if allocs > streamDecideAllocs {
+		t.Fatalf("stream Decide allocates %.1f times, pinned at %d", allocs, streamDecideAllocs)
+	}
 }

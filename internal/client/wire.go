@@ -1,15 +1,15 @@
 package client
 
 import (
+	"encoding/json"
 	"fmt"
 	"slices"
-	"sort"
+	"sync"
 	"time"
 
 	"github.com/hybridsel/hybridsel/internal/attrdb"
 	"github.com/hybridsel/hybridsel/internal/offload"
 	"github.com/hybridsel/hybridsel/internal/server"
-	"github.com/hybridsel/hybridsel/internal/symbolic"
 	"github.com/hybridsel/hybridsel/internal/wire"
 )
 
@@ -22,16 +22,122 @@ import (
 // once, stickily, and the attempt retries — negotiation never costs a
 // verdict.
 
-// payload carries one request body in both encodings. wire is nil when
-// binary mode is off (or the request was built after a downgrade);
-// batch records which frame type a 200 must carry; wreq is the decoded
-// request for the stream transport (decide-only singles with streaming
-// on), which routes the attempt onto a persistent connection first.
+// request is one decide request canonicalised once per call: its
+// binding names in sorted order, their values, and the coalescing key.
+// Coalescing, both frame forms and the slot form's key hash all read
+// these instead of re-sorting the bindings.
+type request struct {
+	server.DecideRequest
+	names  []string // binding names, sorted
+	values []int64  // values[i] binds names[i]
+	// key is the coalescing key: region, NUL, attrdb.BindingsKey of the
+	// bindings, and NUL x for Execute requests (they never coalesce with
+	// decide-only ones). bindingsKey is its BindingsKey part.
+	key         string
+	bindingsKey string
+}
+
+func prepare(req server.DecideRequest) request {
+	r := request{DecideRequest: req}
+	if n := len(req.Bindings); n > 0 {
+		r.names = make([]string, 0, n)
+		for name := range req.Bindings {
+			r.names = append(r.names, name)
+		}
+		slices.Sort(r.names)
+		r.values = make([]int64, n)
+		for i, name := range r.names {
+			r.values[i] = req.Bindings[name]
+		}
+	}
+	var stack [128]byte
+	buf := append(stack[:0], req.Region...)
+	buf = append(buf, 0)
+	buf = attrdb.AppendSortedKey(buf, r.names, r.values)
+	end := len(buf)
+	if req.Execute {
+		buf = append(buf, 0, 'x')
+	}
+	r.key = string(buf)
+	r.bindingsKey = r.key[len(req.Region)+1 : end]
+	return r
+}
+
+// payload is one logical call, prepared once and shared by every retry
+// and hedge of it. Each HTTP body is encoded at most once, on first use
+// by an attempt that sends it; a stream attempt encodes wreq straight
+// into its connection's buffer and needs neither body.
 type payload struct {
-	json  []byte
-	wire  []byte
-	wreq  *wire.Request
+	one  request   // single calls
+	many []request // batch calls: the distinct items
+	// batch records which frame type a 200 must carry.
 	batch bool
+	// stream routes attempts onto the stream transport first
+	// (decide-only singles with streaming on). frames sends HTTP
+	// attempts as frame bodies unless the peer has since been demoted
+	// to JSON.
+	stream, frames bool
+	wreq           wire.Request   // frame form of one
+	wreqs          []wire.Request // frame forms of many
+
+	jsonOnce sync.Once
+	json     []byte
+	jsonErr  error
+	wireOnce sync.Once
+	wire     []byte
+}
+
+// newPayload prepares a single call.
+func (c *Client) newPayload(req server.DecideRequest) *payload {
+	p := &payload{one: prepare(req), frames: c.wireEnabled()}
+	p.stream = !req.Execute && c.streamEnabled()
+	if p.stream || p.frames {
+		p.wreq = c.toWireRequest(&p.one)
+	}
+	return p
+}
+
+// newBatchPayload prepares a batch call over its distinct items.
+func (c *Client) newBatchPayload(many []request) *payload {
+	p := &payload{many: many, batch: true, frames: c.wireEnabled()}
+	if p.frames {
+		p.wreqs = make([]wire.Request, len(many))
+		for i := range many {
+			p.wreqs[i] = c.toWireRequest(&many[i])
+		}
+	}
+	return p
+}
+
+// jsonBody returns the call's JSON body, encoding it on first use.
+func (p *payload) jsonBody() ([]byte, error) {
+	p.jsonOnce.Do(func() {
+		if !p.batch {
+			p.json, p.jsonErr = json.Marshal(p.one.DecideRequest)
+			return
+		}
+		reqs := make([]server.DecideRequest, len(p.many))
+		for i := range p.many {
+			reqs[i] = p.many[i].DecideRequest
+		}
+		p.json, p.jsonErr = json.Marshal(struct {
+			Requests []server.DecideRequest `json:"requests"`
+		}{reqs})
+	})
+	return p.json, p.jsonErr
+}
+
+// wireBody returns the call's frame body, encoding it on first use.
+// Only calls prepared with frames on have one.
+func (p *payload) wireBody() []byte {
+	p.wireOnce.Do(func() {
+		if p.batch {
+			p.wire = wire.AppendBatchRequest(nil, p.wreqs)
+		} else {
+			p.wire = wire.AppendRequest(nil, &p.wreq)
+		}
+	})
+	return p.wire
 }
 
 // rtResult is one successful round trip: the raw body for a JSON
@@ -57,45 +163,24 @@ func (c *Client) downgradeWire() {
 	}
 }
 
-// toWireRequest projects a JSON-shaped request onto the frame format.
+// toWireRequest projects a prepared request onto the frame format.
 // When the RegionParams hook confirms the binding names are exactly the
 // region's parameter set, the request rides the slot form — values in
 // canonical order plus a key hash the daemon verifies before dropping
 // them into its pooled slot vectors. Otherwise the frame carries named
-// bindings, which the daemon resolves like a JSON map.
-func (c *Client) toWireRequest(req server.DecideRequest) wire.Request {
-	names := make([]string, 0, len(req.Bindings))
-	for name := range req.Bindings {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	values := make([]int64, len(names))
-	for i, name := range names {
-		values[i] = req.Bindings[name]
-	}
-	wr := wire.Request{Region: req.Region, Execute: req.Execute, Values: values}
-	if c.cfg.RegionParams != nil && len(names) > 0 {
-		if params := c.cfg.RegionParams(req.Region); slices.Equal(params, names) {
+// bindings, which the daemon resolves like a JSON map. The frame shares
+// r's name and value slices.
+func (c *Client) toWireRequest(r *request) wire.Request {
+	wr := wire.Request{Region: r.Region, Execute: r.Execute, Values: r.values}
+	if c.cfg.RegionParams != nil && len(r.names) > 0 {
+		if params := c.cfg.RegionParams(r.Region); slices.Equal(params, r.names) {
 			wr.SlotForm = true
-			wr.KeyHash = attrdb.BindingsHash(symbolic.Bindings(req.Bindings))
+			wr.KeyHash = attrdb.KeyHash(r.bindingsKey)
 			return wr
 		}
 	}
-	wr.Names = names
+	wr.Names = r.names
 	return wr
-}
-
-func (c *Client) encodeWireSingle(req server.DecideRequest) []byte {
-	wr := c.toWireRequest(req)
-	return wire.AppendRequest(nil, &wr)
-}
-
-func (c *Client) encodeWireBatch(reqs []server.DecideRequest) []byte {
-	wrs := make([]wire.Request, len(reqs))
-	for i := range reqs {
-		wrs[i] = c.toWireRequest(reqs[i])
-	}
-	return wire.AppendBatchRequest(nil, wrs)
 }
 
 // decodeWireOK decodes a 200 body answering a frame request. Anything
@@ -104,7 +189,7 @@ func (c *Client) encodeWireBatch(reqs []server.DecideRequest) []byte {
 // by something older): downgrade stickily and retry as JSON. The
 // breaker does not count it — the response arrived fine, it just wasn't
 // frames.
-func (c *Client) decodeWireOK(p payload, data []byte, ct string) (*wire.Frame, *callErr) {
+func (c *Client) decodeWireOK(p *payload, data []byte, ct string) (*wire.Frame, *callErr) {
 	fail := func(why string) (*wire.Frame, *callErr) {
 		c.downgradeWire()
 		return nil, &callErr{

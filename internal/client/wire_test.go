@@ -337,11 +337,13 @@ func TestToWireRequestForms(t *testing.T) {
 			return nil
 		},
 	})
-	wr := c.toWireRequest(gemmReq())
+	gemm := prepare(gemmReq())
+	wr := c.toWireRequest(&gemm)
 	if !wr.SlotForm || wr.KeyHash == 0 || len(wr.Names) != 0 {
 		t.Fatalf("slot form not chosen: %+v", wr)
 	}
-	wr = c.toWireRequest(server.DecideRequest{Region: "other", Bindings: map[string]int64{"b": 2, "a": 1}})
+	other := prepare(server.DecideRequest{Region: "other", Bindings: map[string]int64{"b": 2, "a": 1}})
+	wr = c.toWireRequest(&other)
 	if wr.SlotForm || !reflect.DeepEqual(wr.Names, []string{"a", "b"}) ||
 		!reflect.DeepEqual(wr.Values, []int64{1, 2}) {
 		t.Fatalf("named form wrong: %+v", wr)

@@ -135,6 +135,10 @@ type Server struct {
 	// holdForTest, when set, runs while an execution slot is held —
 	// lets tests saturate the queue deterministically.
 	holdForTest func()
+	// sentForTest, when set, runs in a stream worker right after a
+	// response frame has been handed to the connection writer — lets
+	// tests check what the accounting says once a reply is visible.
+	sentForTest func()
 }
 
 // New builds a server around a runtime. The runtime's regions may keep
@@ -170,6 +174,9 @@ func New(cfg Config) (*Server, error) {
 		slots:   make(chan struct{}, cfg.Concurrency),
 		start:   time.Now(),
 	}
+	// One http.Server for the server's life: Serve and Shutdown may run
+	// in either order, and a Serve after Shutdown returns at once.
+	s.httpSrv = &http.Server{Handler: s.mux}
 	s.mux.HandleFunc("POST /v1/decide", s.admit(s.deprecated(s.handleDecideV1)))
 	s.mux.HandleFunc("POST /v2/decide", s.admit(s.handleDecideV2))
 	s.mux.HandleFunc("GET /v1/stream", s.handleStreamUpgrade)
@@ -188,9 +195,9 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the service's HTTP handler (for tests and embedding).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Serve accepts connections on l until Shutdown.
+// Serve accepts connections on l until Shutdown. Called after Shutdown
+// has begun, it closes l and returns nil at once.
 func (s *Server) Serve(l net.Listener) error {
-	s.httpSrv = &http.Server{Handler: s.mux}
 	err := s.httpSrv.Serve(l)
 	if errors.Is(err, http.ErrServerClosed) {
 		return nil
@@ -216,10 +223,8 @@ func (s *Server) ListenAndServe(addr string) error {
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	serr := s.shutdownStreams(ctx)
-	if s.httpSrv != nil {
-		if err := s.httpSrv.Shutdown(ctx); err != nil {
-			return err
-		}
+	if err := s.httpSrv.Shutdown(ctx); err != nil {
+		return err
 	}
 	return serr
 }

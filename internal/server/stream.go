@@ -58,9 +58,17 @@ type streamRegistry struct {
 
 // ServeStream accepts stream connections on l until Shutdown. Each
 // connection speaks the wire stream envelope directly (no HTTP); the
-// server opens with a TypeCredit grant.
+// server opens with a TypeCredit grant. Called after Shutdown has
+// begun, it closes l and returns nil at once.
 func (s *Server) ServeStream(l net.Listener) error {
 	s.streams.mu.Lock()
+	if s.draining.Load() {
+		// Shutdown has begun (and may already have closed the listeners
+		// it knew of): refuse to start accepting.
+		s.streams.mu.Unlock()
+		l.Close()
+		return nil
+	}
 	if s.streams.listeners == nil {
 		s.streams.listeners = map[net.Listener]struct{}{}
 	}
@@ -278,9 +286,17 @@ func (sc *streamConn) worker() {
 			cands = resp.Candidates
 		}
 		scratch = wire.AppendStreamResponse(scratch[:0], job.id, &resp)
-		sc.send(scratch)
+		// Release the credit slot before the response is visible: a
+		// client at its window sends the next frame as soon as it reads
+		// this one, and the reader must already count the slot as free
+		// (DESIGN.md §15). wg.Done stays after send so drain still waits
+		// for the write.
 		sc.inflight.Add(-1)
 		s.met.streamInflight.Add(-1)
+		sc.send(scratch)
+		if s.sentForTest != nil {
+			s.sentForTest()
+		}
 		sc.wg.Done()
 	}
 }

@@ -405,3 +405,138 @@ func TestStreamUpgrade(t *testing.T) {
 		t.Fatalf("bare GET /v1/stream = %d, want %d", r.StatusCode, http.StatusUpgradeRequired)
 	}
 }
+
+// TestStreamCreditReleasedBeforeResponse is the deterministic
+// regression test for the stream credit race: a worker must release
+// the stream's credit slot before its response becomes visible. With
+// a window of one, a client that sends its next frame the moment it
+// reads a reply must find that frame admitted, never shed as
+// queue_full. The worker is parked right after the send, so the
+// ordering is checked without relying on scheduler timing.
+func TestStreamCreditReleasedBeforeResponse(t *testing.T) {
+	sent := make(chan int64, 1)
+	release := make(chan struct{})
+	var once sync.Once
+	s := testServer(t, Config{StreamCredit: 1})
+	s.sentForTest = func() {
+		once.Do(func() {
+			sent <- s.met.streamInflight.Load()
+			<-release
+		})
+	}
+	addr := startStreamServer(t, s)
+	conn, sr, credit := dialStream(t, addr)
+	if credit != 1 {
+		t.Fatalf("credit = %d, want 1", credit)
+	}
+	var sc *streamConn
+	s.streams.mu.Lock()
+	for c := range s.streams.conns {
+		sc = c
+	}
+	s.streams.mu.Unlock()
+
+	streamReq(t, conn, 1, "gemm", 256)
+	if got := <-sent; got != 0 {
+		t.Fatalf("in-flight gauge = %d once the response was sent, want 0", got)
+	}
+	if got := sc.inflight.Load(); got != 0 {
+		t.Fatalf("connection in-flight = %d once the response was sent, want 0", got)
+	}
+	f, err := sr.Next()
+	if err != nil || f.StreamID != 1 || f.Resp.Err != nil {
+		t.Fatalf("stream 1 answered %+v (%v)", f, err)
+	}
+
+	// The worker is still parked after its send. The next frame must be
+	// admitted (queued for the worker), not rejected by the reader.
+	streamReq(t, conn, 2, "gemm", 512)
+	frames := make(chan *wire.Frame, 2)
+	go func() {
+		for {
+			f, err := sr.Next()
+			if err != nil {
+				close(frames)
+				return
+			}
+			frames <- f
+		}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(sc.jobs) == 0 {
+		select {
+		case f := <-frames:
+			t.Fatalf("stream 2 answered while stream 1's worker was parked: %+v", f.Resp)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("stream 2 neither admitted nor answered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	f = <-frames
+	if f == nil || f.StreamID != 2 || f.Resp.Err != nil {
+		t.Fatalf("stream 2 answered %+v, want a verdict", f)
+	}
+}
+
+// TestShutdownBeforeServe: a Shutdown that runs before Serve or
+// ServeStream must make them return promptly instead of accepting
+// forever. Run under -race it also covers Serve and Shutdown racing.
+func TestShutdownBeforeServe(t *testing.T) {
+	serveBoth := func(s *Server) (chan error, net.Listener, net.Listener) {
+		hl, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sl, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { hl.Close(); sl.Close() })
+		done := make(chan error, 2)
+		go func() { done <- s.Serve(hl) }()
+		go func() { done <- s.ServeStream(sl) }()
+		return done, hl, sl
+	}
+	wait := func(done chan error) {
+		t.Helper()
+		for i := 0; i < 2; i++ {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("serve returned %v, want nil", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Serve/ServeStream still accepting after Shutdown")
+			}
+		}
+	}
+	shutdown := func(s *Server) {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+	}
+
+	s := testServer(t, Config{})
+	shutdown(s)
+	done, hl, sl := serveBoth(s)
+	wait(done)
+	for _, l := range []net.Listener{hl, sl} {
+		if c, err := net.DialTimeout("tcp", l.Addr().String(), time.Second); err == nil {
+			c.Close()
+			t.Fatalf("listener %s still open after a post-Shutdown serve", l.Addr())
+		}
+	}
+
+	// Shutdown racing the serve calls: whichever wins, both return.
+	for i := 0; i < 20; i++ {
+		s := testServer(t, Config{})
+		done, _, _ := serveBoth(s)
+		shutdown(s)
+		wait(done)
+	}
+}

@@ -118,13 +118,25 @@ func decodeGoawayPayload(r *reader) (*Goaway, error) {
 
 // ---- Incremental reading ----
 
+// Intern table bounds: a StreamReader keeps decoded strings of at most
+// maxInternLen bytes, up to maxInterned of them (64 KiB of string data
+// per connection at most).
+const (
+	maxInternLen = 64
+	maxInterned  = 1024
+)
+
 // A StreamReader decodes frames incrementally from a long-lived
 // connection, reusing one payload buffer across frames so steady-state
-// reads cost no buffer allocations. It is not safe for concurrent use;
-// each connection owns exactly one reader goroutine.
+// reads cost no buffer allocations. Short strings (regions, verdicts,
+// kinds, policies, provenances, target IDs, error codes) repeat on
+// almost every frame of a connection, so the reader interns them: a
+// string seen before is returned without allocating. It is not safe
+// for concurrent use; each connection owns exactly one reader goroutine.
 type StreamReader struct {
-	br  *bufio.Reader
-	buf []byte
+	br   *bufio.Reader
+	buf  []byte
+	strs map[string]string
 }
 
 // NewStreamReader wraps r (buffering it if it is not already a
@@ -134,7 +146,7 @@ func NewStreamReader(r io.Reader) *StreamReader {
 	if !ok {
 		br = bufio.NewReaderSize(r, 32<<10)
 	}
-	return &StreamReader{br: br, buf: make([]byte, 0, 2048)}
+	return &StreamReader{br: br, buf: make([]byte, 0, 2048), strs: map[string]string{}}
 }
 
 // Next reads and decodes the next frame. io.EOF is returned untouched
@@ -173,9 +185,5 @@ func (sr *StreamReader) Next() (*Frame, error) {
 		}
 		return nil, err
 	}
-	f, err := decodePayload(hdr[3], payload)
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
+	return decodePayload(hdr[3], payload, sr.strs)
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"testing"
@@ -36,8 +37,25 @@ func FuzzStreamFrame(f *testing.F) {
 	f.Add([]byte{'H', 'S', 1, TypeCredit, 1, 0, 0, 0, 64})
 	f.Add([]byte{'H', 'S', 2, TypeCredit, 1, 0, 0, 0, 64}) // version skew
 
+	// One reader serves every input, the way one serves a long-lived
+	// connection: its intern table carries strings across inputs, so a
+	// stale or corrupted entry would surface as a decoder disagreement.
+	src := bytes.NewReader(nil)
+	br := bufio.NewReader(src)
+	sr := NewStreamReader(br)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sr := NewStreamReader(bytes.NewReader(data))
+		src.Reset(data)
+		br.Reset(src)
+		defer func() {
+			if len(sr.strs) > maxInterned {
+				t.Fatalf("intern table holds %d strings, cap %d", len(sr.strs), maxInterned)
+			}
+			for k := range sr.strs {
+				if len(k) > maxInternLen {
+					t.Fatalf("intern table retains a %d-byte string", len(k))
+				}
+			}
+		}()
 		rest := data
 		for {
 			got, err := sr.Next()

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // TestStreamRoundTrip drives the stream envelope with seeded random
@@ -127,5 +128,82 @@ func TestStreamReaderNoAlias(t *testing.T) {
 	}
 	if f1.Req.Region != "first" || f1.Req.Names[0] != "n" {
 		t.Fatalf("first frame mutated by second read: %+v", f1.Req)
+	}
+}
+
+// TestStreamReaderInterning drives one long-lived StreamReader through
+// thousands of frames: every frame must equal DecodeFrame of the same
+// bytes, the intern table must stay within its bounds (at most
+// maxInterned strings, none longer than maxInternLen) however many
+// distinct strings flow past, and repeated short strings must come
+// back shared rather than freshly allocated.
+func TestStreamReaderInterning(t *testing.T) {
+	r := rand.New(rand.NewSource(47))
+	hot := Response{
+		Region: "gemm", Verdict: "gpu/base", Kind: "gpu", Policy: "model-guided",
+		Provenance: "analytical",
+		Candidates: []Candidate{{Target: "gpu/base", Kind: "gpu"}, {Target: "cpu/base", Kind: "cpu"}},
+	}
+	var buf []byte
+	for i := 0; i < 4000; i++ {
+		id := uint64(i + 1)
+		switch i % 5 {
+		case 0, 1:
+			buf = AppendStreamResponse(buf, id, &hot)
+		case 2:
+			req := randRequest(r)
+			buf = AppendStreamRequest(buf, id, &req)
+		case 3:
+			resp := randResponse(r)
+			buf = AppendStreamResponse(buf, id, &resp)
+		case 4:
+			buf = AppendGoaway(buf, &Goaway{LastStreamID: id, Reason: randString(r, 200)})
+		}
+	}
+
+	sr := NewStreamReader(bytes.NewReader(buf))
+	rest := buf
+	var first *Frame
+	for n := 0; ; n++ {
+		got, err := sr.Next()
+		if err == io.EOF {
+			if len(rest) != 0 {
+				t.Fatalf("reader stopped with %d bytes left", len(rest))
+			}
+			break
+		}
+		if err != nil {
+			t.Fatalf("frame %d: %v", n, err)
+		}
+		want, used, err := DecodeFrame(rest)
+		if err != nil {
+			t.Fatalf("frame %d: DecodeFrame: %v", n, err)
+		}
+		rest = rest[used:]
+		if !framesEqual(got, want) {
+			t.Fatalf("frame %d:\n stream %+v\n  whole %+v", n, got, want)
+		}
+		if len(sr.strs) > maxInterned {
+			t.Fatalf("frame %d: intern table holds %d strings, cap %d", n, len(sr.strs), maxInterned)
+		}
+		if n == 0 {
+			first = got
+		} else if n%5 == 0 {
+			// A repeat of the hot response: its strings are the ones
+			// the first decode interned, not fresh copies.
+			if unsafe.StringData(got.Resp.Verdict) != unsafe.StringData(first.Resp.Verdict) ||
+				unsafe.StringData(got.Resp.Candidates[1].Target) != unsafe.StringData(first.Resp.Candidates[1].Target) {
+				t.Fatalf("frame %d: repeated strings were not interned", n)
+			}
+		}
+	}
+	if len(sr.strs) != maxInterned {
+		t.Fatalf("intern table holds %d strings after thousands of distinct ones, want the cap %d",
+			len(sr.strs), maxInterned)
+	}
+	for k, v := range sr.strs {
+		if len(k) > maxInternLen || k != v {
+			t.Fatalf("intern table retains %d-byte string %q -> %q", len(k), k, v)
+		}
 	}
 }

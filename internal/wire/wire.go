@@ -319,10 +319,12 @@ func AppendError(dst []byte, e *Error) []byte {
 
 // ---- Decoding ----
 
-// reader is a bounds-checked cursor over one frame payload.
+// reader is a bounds-checked cursor over one frame payload. strs, when
+// non-nil, is the owning StreamReader's intern table.
 type reader struct {
-	b []byte
-	i int
+	b    []byte
+	i    int
+	strs map[string]string
 }
 
 func (r *reader) uvarint() (uint64, error) {
@@ -369,8 +371,18 @@ func (r *reader) string() (string, error) {
 	if n > maxStringLen || r.i+int(n) > len(r.b) {
 		return "", fmt.Errorf("%w: string length %d out of range", ErrMalformed, n)
 	}
-	s := string(r.b[r.i : r.i+int(n)])
+	b := r.b[r.i : r.i+int(n)]
 	r.i += int(n)
+	if r.strs == nil || len(b) > maxInternLen {
+		return string(b), nil
+	}
+	if s, ok := r.strs[string(b)]; ok {
+		return s, nil
+	}
+	s := string(b)
+	if len(r.strs) < maxInterned {
+		r.strs[s] = s
+	}
 	return s, nil
 }
 
@@ -537,7 +549,7 @@ func DecodeFrame(data []byte) (*Frame, int, error) {
 	if plen > maxFrameLen || headerLen+int(plen) > len(data) {
 		return nil, 0, fmt.Errorf("%w: payload length %d exceeds body", ErrMalformed, plen)
 	}
-	f, err := decodePayload(typ, data[headerLen:headerLen+int(plen)])
+	f, err := decodePayload(typ, data[headerLen:headerLen+int(plen)], nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -546,9 +558,10 @@ func DecodeFrame(data []byte) (*Frame, int, error) {
 
 // decodePayload decodes one frame payload whose header has already been
 // validated. It is shared between DecodeFrame (whole-body decoding) and
-// StreamReader.Next (incremental connection reads).
-func decodePayload(typ byte, payload []byte) (*Frame, error) {
-	r := &reader{b: payload}
+// StreamReader.Next (incremental connection reads, which pass their
+// intern table as strs).
+func decodePayload(typ byte, payload []byte, strs map[string]string) (*Frame, error) {
+	r := &reader{b: payload, strs: strs}
 	f := &Frame{Type: typ}
 	var err error
 	switch typ {

@@ -26,11 +26,12 @@ awk '/"summary"/,/^  }/' "$OUT"
 echo "== serve benchmarks (benchtime $BENCHTIME) =="
 # End-to-end decide serving over a live server: JSON vs the binary
 # frame format on /v2/decide (single and 64-item batched) plus the
-# persistent stream transport (single in-flight and 64 pipelined).
+# persistent stream transport (single in-flight and 64 pipelined), and
+# the resilient client's Decide over that stream transport.
 # Acceptance floors: binary batched >=2x JSON batched, and stream
 # single >=3x JSON single — the headline of killing per-request HTTP
 # overhead on the decide path.
-go test -run '^$' -bench 'BenchmarkServe(JSON|Binary)(Single|Batch64)$|BenchmarkServeStream(Single|Pipelined64)$' \
+go test -run '^$' -bench 'BenchmarkServe(JSON|Binary)(Single|Batch64)$|BenchmarkServeStream(Single|Pipelined64)$|BenchmarkClientDecideStream$' \
 	-benchtime "$BENCHTIME" -benchmem . | tee /tmp/bench_serve.$$ || {
 	rm -f /tmp/bench_serve.$$; exit 1; }
 go run ./cmd/benchjson -out "$SERVE_OUT" -min-wire-speedup 2 -min-stream-speedup 3 </tmp/bench_serve.$$

@@ -21,6 +21,12 @@ go run ./cmd/apidump -check api/exported.txt
 echo "== go test =="
 go test ./...
 
+echo "== go test -cpu 1,2,4 (transport packages) =="
+# Stream credit accounting, the hedge race and the decoder are
+# scheduler-sensitive: run them at several GOMAXPROCS so an ordering
+# bug fails here instead of intermittently.
+go test -count=1 -cpu 1,2,4 ./internal/server/ ./internal/client/ ./internal/wire/
+
 echo "== go test -race (concurrent packages) =="
 go test -race ./internal/offload/ ./internal/experiments/ \
 	./internal/server/ ./internal/trace/ ./internal/audit/ \
@@ -82,7 +88,7 @@ if [ ! -f BENCH_serve.json ]; then
 	echo "serve ledger: BENCH_serve.json missing (run make bench)"; exit 1
 fi
 go test -run '^$' \
-	-bench 'BenchmarkServe(JSON|Binary)(Single|Batch64)$|BenchmarkServeStream(Single|Pipelined64)$' \
+	-bench 'BenchmarkServe(JSON|Binary)(Single|Batch64)$|BenchmarkServeStream(Single|Pipelined64)$|BenchmarkClientDecideStream$' \
 	-benchtime=0.2s -benchmem . \
 	| go run ./cmd/benchjson -gate BENCH_serve.json -tolerance 0.5 \
 		-min-wire-speedup 1.5 -min-stream-speedup 2

@@ -192,6 +192,19 @@ func serveBenchPost(b *testing.B, client *http.Client, url, contentType string, 
 // listener and dials one persistent connection at it.
 func serveBenchStreamConn(b *testing.B) *client.StreamConn {
 	b.Helper()
+	_, addr := serveBenchStreamServer(b)
+	sc, err := client.DialStream(client.StreamDialConfig{Addr: addr})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { sc.Close() })
+	return sc
+}
+
+// serveBenchStreamServer starts the bench server on both an HTTP port
+// and a raw stream listener and returns (base URL, stream address).
+func serveBenchStreamServer(b *testing.B) (string, string) {
+	b.Helper()
 	rt := offload.NewRuntime(offload.Config{Platform: machine.PlatformP9V100()})
 	for _, name := range decideKernels {
 		k, err := polybench.Get(name)
@@ -215,12 +228,9 @@ func serveBenchStreamConn(b *testing.B) *client.StreamConn {
 	}
 	go srv.ServeStream(l)
 	b.Cleanup(func() { l.Close() })
-	sc, err := client.DialStream(client.StreamDialConfig{Addr: l.Addr().String()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { sc.Close() })
-	return sc
+	ts := httptest.NewServer(srv.Handler())
+	b.Cleanup(ts.Close)
+	return ts.URL, l.Addr().String()
 }
 
 // runStreamBench drives the request ring over one stream connection,
@@ -311,4 +321,55 @@ func BenchmarkServeStreamSingle(b *testing.B) {
 // streams) in flight on one connection — the throughput-bound view.
 func BenchmarkServeStreamPipelined64(b *testing.B) {
 	runStreamBench(b, serveBenchStreamConn(b), serveBenchBatch)
+}
+
+// BenchmarkClientDecideStream is one resilient client.Client.Decide in
+// flight over the stream transport, with the default retry, breaker
+// and p99-derived hedging pipeline armed: the client layer's cost on
+// top of BenchmarkServeStreamSingle's raw connection round trip.
+func BenchmarkClientDecideStream(b *testing.B) {
+	url, addr := serveBenchStreamServer(b)
+	cl, err := client.New(client.Config{
+		BaseURL:      url,
+		Stream:       true,
+		StreamAddr:   addr,
+		StreamConns:  1,
+		RegionParams: func(string) []string { return []string{"n"} },
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(cl.Close)
+	reqs := serveBenchRequests()
+	ctx := context.Background()
+	decide := func(i int) time.Duration {
+		start := time.Now()
+		v, err := cl.Decide(ctx, reqs[i%len(reqs)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if v.Transport != client.TransportStream || v.Response.Error != nil {
+			b.Fatalf("verdict served over %s: %+v", v.Transport, v.Response.Error)
+		}
+		return time.Since(start)
+	}
+	// Warm the decision cache and the hedge-delay sampler off the clock.
+	for i := 0; i < 4*client.DefaultHedgeMinSamples; i++ {
+		decide(i)
+	}
+	lat := make([]time.Duration, b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lat[i] = decide(i)
+	}
+	b.StopTimer()
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	if n := len(lat); n > 0 {
+		b.ReportMetric(float64(lat[n/2].Nanoseconds()), "p50-ns")
+		b.ReportMetric(float64(lat[n*99/100].Nanoseconds()), "p99-ns")
+	}
+	if sec := b.Elapsed().Seconds(); sec > 0 {
+		b.ReportMetric(float64(b.N)/sec, "decisions/s")
+	}
 }
