@@ -32,6 +32,7 @@ chaos:
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) ./internal/offload/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseConstraint$$' -fuzztime $(FUZZTIME) ./internal/offload/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecideBody$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecideBodyV2$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRead$$' -fuzztime $(FUZZTIME) ./internal/trace/

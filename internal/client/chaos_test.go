@@ -11,6 +11,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -273,6 +274,13 @@ func TestChaosPartitionHealFallbackMatchesDaemon(t *testing.T) {
 				t.Fatalf("req %d candidate mismatch at rank %d:\n fallback: %+v\n daemon:   %+v",
 					i, j, d.Candidates[j], r.Candidates[j])
 			}
+		}
+		// Degraded responses are indistinguishable in shape from served
+		// ones: provenance, policy and every candidate's kind and
+		// calibrated seconds match too, not just the ranking.
+		if nd, nr := normalizeV2(d), normalizeV2(r); !reflect.DeepEqual(nd, nr) {
+			t.Fatalf("req %d fallback/daemon response mismatch:\n fallback: %+v\n daemon:   %+v",
+				i, nd, nr)
 		}
 	}
 }

@@ -42,7 +42,6 @@ import (
 
 	"github.com/hybridsel/hybridsel/internal/offload"
 	"github.com/hybridsel/hybridsel/internal/server"
-	"github.com/hybridsel/hybridsel/internal/symbolic"
 	"github.com/hybridsel/hybridsel/internal/wire"
 )
 
@@ -373,7 +372,7 @@ func (c *Client) decideRemoteOrFallback(ctx context.Context, p *payload) (*Verdi
 	if rerr == nil {
 		var resp server.DecideResponseV2
 		if res.frame != nil {
-			resp = wireToResponseV2(res.frame.Resp)
+			resp = server.ResponseV2FromWire(res.frame.Resp)
 		} else if err := json.Unmarshal(res.data, &resp); err != nil {
 			return nil, fmt.Errorf("client: decode response: %w", err)
 		}
@@ -471,7 +470,7 @@ func (c *Client) batchRemoteOrFallback(ctx context.Context, unique []request, ca
 		if res.frame != nil {
 			results = make([]server.DecideResponseV2, len(res.frame.Resps))
 			for i := range res.frame.Resps {
-				results[i] = wireToResponseV2(&res.frame.Resps[i])
+				results[i] = server.ResponseV2FromWire(&res.frame.Resps[i])
 			}
 		} else {
 			var br server.BatchResponseV2
@@ -506,38 +505,18 @@ func (c *Client) batchRemoteOrFallback(ctx context.Context, unique []request, ca
 	return results, ProvenanceFallback, TransportLocal, attempts, nil
 }
 
-// fallbackOne serves one verdict from the in-process runtime. Item-level
-// model errors (unknown region, unbound symbol) are carried in
-// Response.Error with the daemon's own error codes (server.ClassifyError),
-// so a degraded client behaves like the daemon it replaces.
+// fallbackOne serves one verdict from the in-process runtime through the
+// daemon's own decide core (server.DecideLocal): item-level model errors
+// (unknown region, unbound symbol) are carried in Response.Error with the
+// daemon's error codes, and every field has the daemon's shape, so a
+// degraded client behaves like the daemon it replaces.
 func (c *Client) fallbackOne(req server.DecideRequest, attempts int) (*Verdict, error) {
-	rt := c.cfg.Fallback
-	if rt == nil {
+	if c.cfg.Fallback == nil {
 		return nil, errors.New("client: no fallback runtime configured")
 	}
-	resp := server.DecideResponseV2{Region: req.Region}
-	b := symbolic.Bindings(req.Bindings)
-	var out *offload.Outcome
-	region, err := rt.Region(req.Region)
-	if err == nil {
-		if req.Execute {
-			out, err = region.Launch(b)
-		} else {
-			out, err = region.Decide(b)
-		}
-	}
-	if err != nil {
+	resp := server.DecideLocal(c.cfg.Fallback, req)
+	if resp.Error != nil {
 		c.met.fallbackErrors.Add(1)
-		resp.Error = server.ClassifyError(err)
-	} else {
-		resp.Verdict = out.TargetID
-		resp.Kind = out.Target.String()
-		resp.Policy = out.Policy.Name()
-		resp.Candidates = out.Candidates
-		resp.SplitFraction = out.SplitFraction
-		resp.CacheHit = out.CacheHit
-		resp.ActualSeconds = out.ActualSeconds
-		resp.DecisionNanos = out.DecisionOverhead.Nanoseconds()
 	}
 	c.met.fallbacks.Add(1)
 	return &Verdict{Response: resp, Provenance: ProvenanceFallback, Attempts: attempts, Transport: TransportLocal}, nil
@@ -763,9 +742,8 @@ func (c *Client) attempt(actx context.Context, p *payload) (rtResult, *callErr) 
 	if !isWireErr {
 		re = parseErrBody(data)
 	}
-	retryAfter := parseRetryAfter(resp.Header.Get("Retry-After"))
-	if retryAfter == 0 {
-		retryAfter = re.retryAfter
+	if ra := parseRetryAfter(resp.Header.Get("Retry-After")); ra != 0 {
+		re.retryAfter = ra
 	}
 	if useWire && !isWireErr && re.code == server.ErrCodeBadRequest {
 		// A JSON bad_request answering a frame body is a peer that does
@@ -779,31 +757,7 @@ func (c *Client) attempt(actx context.Context, p *payload) (rtResult, *callErr) 
 			retryable: true,
 		}
 	}
-	switch {
-	case re.code == server.ErrCodeQueueFull ||
-		(re.code == "" && resp.StatusCode == http.StatusTooManyRequests):
-		// Deliberate shedding: retry later, but the daemon is healthy —
-		// the breaker does not count it.
-		c.met.sheds.Add(1)
-		return rtResult{}, &callErr{
-			err:        fmt.Errorf("HTTP %d: %s", resp.StatusCode, re.String()),
-			retryable:  true,
-			retryAfter: retryAfter,
-		}
-	case re.retryable(resp.StatusCode):
-		c.met.serverErrors.Add(1)
-		return rtResult{}, &callErr{
-			err:        fmt.Errorf("HTTP %d: %s", resp.StatusCode, re.String()),
-			retryable:  true,
-			breaker:    true,
-			retryAfter: retryAfter,
-		}
-	default:
-		c.met.permanentErrors.Add(1)
-		return rtResult{}, &callErr{
-			err: &permanentError{status: resp.StatusCode, code: re.code, msg: re.msg},
-		}
-	}
+	return rtResult{}, re.failure(&c.met, resp.StatusCode, "HTTP "+strconv.Itoa(resp.StatusCode))
 }
 
 // remoteErr is the parsed body of a non-2xx response: the structured
@@ -820,6 +774,37 @@ func (e remoteErr) String() string {
 		return e.code + ": " + e.msg
 	}
 	return e.msg
+}
+
+// failure classifies one daemon-reported error into the attempt's
+// outcome and counts it: deliberate shedding (queue_full, or a bare 429)
+// retries without counting toward the breaker — the daemon is healthy;
+// transient failures retry and count; anything else is permanent and
+// bypasses retries and fallback. status is the HTTP status the error
+// arrived with (0 when the transport has none); where prefixes the
+// message.
+func (e remoteErr) failure(met *metrics, status int, where string) *callErr {
+	switch {
+	case e.code == server.ErrCodeQueueFull ||
+		(e.code == "" && status == http.StatusTooManyRequests):
+		met.sheds.Add(1)
+		return &callErr{
+			err:        fmt.Errorf("%s: %s", where, e.String()),
+			retryable:  true,
+			retryAfter: e.retryAfter,
+		}
+	case e.retryable(status):
+		met.serverErrors.Add(1)
+		return &callErr{
+			err:        fmt.Errorf("%s: %s", where, e.String()),
+			retryable:  true,
+			breaker:    true,
+			retryAfter: e.retryAfter,
+		}
+	default:
+		met.permanentErrors.Add(1)
+		return &callErr{err: &permanentError{status: status, code: e.code, msg: e.msg}}
+	}
 }
 
 // retryable reports whether the failure is transient. A structured code

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/hybridsel/hybridsel/internal/server"
 	"github.com/hybridsel/hybridsel/internal/wire"
 )
 
@@ -469,35 +468,14 @@ func (c *Client) streamAttempt(ctx context.Context, p *payload) (rtResult, *call
 		return rtResult{}, nil, false
 	}
 	if e := f.Resp.Err; e != nil {
+		// Credit-window or admission shedding answers queue_full on
+		// this stream; it classifies like the HTTP path's envelope.
 		re := remoteErr{
 			code:       e.Code,
 			msg:        e.Message,
 			retryAfter: time.Duration(e.RetryAfterSeconds * float64(time.Second)),
 		}
-		switch {
-		case re.code == server.ErrCodeQueueFull:
-			// Credit-window or admission shedding: retry later, the
-			// daemon is healthy.
-			c.met.sheds.Add(1)
-			return rtResult{}, &callErr{
-				err:        fmt.Errorf("stream: %s", re.String()),
-				retryable:  true,
-				retryAfter: re.retryAfter,
-			}, true
-		case re.retryable(0):
-			c.met.serverErrors.Add(1)
-			return rtResult{}, &callErr{
-				err:        fmt.Errorf("stream: %s", re.String()),
-				retryable:  true,
-				breaker:    true,
-				retryAfter: re.retryAfter,
-			}, true
-		default:
-			c.met.permanentErrors.Add(1)
-			return rtResult{}, &callErr{
-				err: &permanentError{status: e.Status, code: re.code, msg: re.msg},
-			}, true
-		}
+		return rtResult{}, re.failure(&c.met, e.Status, "stream"), true
 	}
 	c.latStream.observe(time.Since(start))
 	return rtResult{frame: f, transport: TransportStream}, nil, true

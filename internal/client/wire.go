@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/hybridsel/hybridsel/internal/attrdb"
-	"github.com/hybridsel/hybridsel/internal/offload"
 	"github.com/hybridsel/hybridsel/internal/server"
 	"github.com/hybridsel/hybridsel/internal/wire"
 )
@@ -230,49 +229,4 @@ func parseWireErrBody(data []byte) (remoteErr, bool) {
 		msg:        e.Message,
 		retryAfter: time.Duration(e.RetryAfterSeconds * float64(time.Second)),
 	}, true
-}
-
-// kindFromWire maps a wire kind string back onto the registry enum.
-func kindFromWire(s string) offload.TargetKind {
-	if s == "gpu" {
-		return offload.KindGPU
-	}
-	return offload.KindCPU
-}
-
-// wireToResponseV2 projects a response frame back onto the JSON response
-// shape, so callers see one Verdict type regardless of encoding.
-func wireToResponseV2(wr *wire.Response) server.DecideResponseV2 {
-	resp := server.DecideResponseV2{
-		Region:        wr.Region,
-		Verdict:       wr.Verdict,
-		Kind:          wr.Kind,
-		Policy:        wr.Policy,
-		Provenance:    wr.Provenance,
-		SplitFraction: wr.SplitFraction,
-		CacheHit:      wr.CacheHit,
-		ActualSeconds: wr.ActualSeconds,
-		DecisionNanos: wr.DecisionNanos,
-	}
-	if wr.Err != nil {
-		resp.Error = &server.ErrorInfo{
-			Code:       wr.Err.Code,
-			Message:    wr.Err.Message,
-			RetryAfter: wr.Err.RetryAfterSeconds,
-		}
-		return resp
-	}
-	if n := len(wr.Candidates); n > 0 {
-		resp.Candidates = make([]offload.Candidate, n)
-		for i := range wr.Candidates {
-			wc := &wr.Candidates[i]
-			resp.Candidates[i] = offload.Candidate{
-				Target:      wc.Target,
-				Kind:        kindFromWire(wc.Kind),
-				PredSeconds: wc.PredSeconds,
-				CalSeconds:  wc.CalSeconds,
-			}
-		}
-	}
-	return resp
 }

@@ -41,3 +41,32 @@ func FuzzParsePolicy(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseConstraint: the -constraints flag parser must never panic,
+// must return exactly one of a constraint and an error, and every
+// accepted expression must round-trip through Constraint.Name.
+func FuzzParseConstraint(f *testing.F) {
+	f.Add("avoid=gpu/prev")
+	f.Add("cap=gpu/*:8")
+	f.Add("cap=gpu/*:-1")
+	f.Add("cap=:3")
+	f.Fuzz(func(t *testing.T, s string) {
+		c, err := ParseConstraint(s)
+		if err != nil {
+			if c != nil {
+				t.Fatalf("ParseConstraint(%q) returned both a constraint and an error", s)
+			}
+			return
+		}
+		if c == nil {
+			t.Fatalf("ParseConstraint(%q): nil constraint without error", s)
+		}
+		again, err := ParseConstraint(c.Name())
+		if err != nil {
+			t.Fatalf("ParseConstraint(%q).Name() = %q does not parse: %v", s, c.Name(), err)
+		}
+		if again.Name() != c.Name() {
+			t.Fatalf("ParseConstraint(%q) does not round-trip: %q then %q", s, c.Name(), again.Name())
+		}
+	})
+}

@@ -52,12 +52,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/hybridsel/hybridsel/internal/attrdb"
 	"github.com/hybridsel/hybridsel/internal/audit"
 	"github.com/hybridsel/hybridsel/internal/cluster"
 	"github.com/hybridsel/hybridsel/internal/learn"
 	"github.com/hybridsel/hybridsel/internal/offload"
-	"github.com/hybridsel/hybridsel/internal/symbolic"
 	"github.com/hybridsel/hybridsel/internal/wire"
 )
 
@@ -395,55 +393,59 @@ func (s *Server) deprecated(h func(http.ResponseWriter, *http.Request)) func(htt
 	}
 }
 
-// parseDecide reads and decodes a decide body, writing the error
-// response itself when the body is unusable.
-func (s *Server) parseDecide(w http.ResponseWriter, r *http.Request) (*decideBody, bool) {
+// parseDecide reads and decodes a decide body into the named wire form
+// every codec decides from: one request, or a batch (batch != nil for a
+// {"requests": [...]} body). It writes the error response itself when
+// the body is unusable.
+func (s *Server) parseDecide(w http.ResponseWriter, r *http.Request) (one wire.Request, batch []wire.Request, ok bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, "read body: "+err.Error())
-		return nil, false
+		return one, nil, false
 	}
 	var req decideBody
 	if err := json.Unmarshal(body, &req); err != nil {
 		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, "parse body: "+err.Error())
-		return nil, false
+		return one, nil, false
 	}
-	if req.Requests != nil && len(req.Requests) > s.cfg.MaxBatch {
+	if req.Requests == nil {
+		return req.DecideRequest.toWire(), nil, true
+	}
+	if len(req.Requests) > s.cfg.MaxBatch {
 		httpError(w, http.StatusRequestEntityTooLarge, ErrCodeBatchTooLarge,
 			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Requests), s.cfg.MaxBatch))
-		return nil, false
+		return one, nil, false
 	}
-	return &req, true
+	batch = make([]wire.Request, len(req.Requests))
+	for i := range req.Requests {
+		batch[i] = req.Requests[i].toWire()
+	}
+	return one, batch, true
+}
+
+// toWire converts a JSON decide request to the named wire form.
+func (req DecideRequest) toWire() wire.Request {
+	wr := wire.Request{Region: req.Region, Execute: req.Execute}
+	if n := len(req.Bindings); n > 0 {
+		wr.Names = make([]string, 0, n)
+		wr.Values = make([]int64, 0, n)
+		for name, v := range req.Bindings {
+			wr.Names = append(wr.Names, name)
+			wr.Values = append(wr.Values, v)
+		}
+	}
+	return wr
 }
 
 func (s *Server) handleDecideV1(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.parseDecide(w, r)
-	if !ok {
-		return
-	}
-	if req.Requests == nil {
-		out, ei := s.decideOne(r.Context(), req.DecideRequest)
-		if ei != nil {
-			httpError(w, ei.status, ei.Code, ei.Message)
-			return
-		}
-		writeJSON(w, http.StatusOK, v1Response(req.Region, out))
-		return
-	}
-	results := make([]DecideResponse, len(req.Requests))
-	coalesced := decideBatch(s, r.Context(), req.Requests, results,
-		func(req DecideRequest, out *offload.Outcome, ei *ErrorInfo) DecideResponse {
-			if ei != nil {
-				return DecideResponse{Region: req.Region, Error: ei.Message}
-			}
-			return v1Response(req.Region, out)
-		},
+	serveDecideJSON(s, w, r, v1Response,
 		func(resp DecideResponse) DecideResponse {
-			// The duplicate was answered by the first item's decision.
 			resp.CacheHit = resp.Error == ""
 			return resp
+		},
+		func(results []DecideResponse, coalesced int) any {
+			return BatchResponse{Results: results, Coalesced: coalesced}
 		})
-	writeJSON(w, http.StatusOK, BatchResponse{Results: results, Coalesced: coalesced})
 }
 
 func (s *Server) handleDecideV2(w http.ResponseWriter, r *http.Request) {
@@ -454,36 +456,46 @@ func (s *Server) handleDecideV2(w http.ResponseWriter, r *http.Request) {
 		s.handleDecideWire(w, r)
 		return
 	}
-	req, ok := s.parseDecide(w, r)
+	serveDecideJSON(s, w, r, projectV2,
+		func(resp DecideResponseV2) DecideResponseV2 {
+			resp.CacheHit = resp.Error == nil
+			return resp
+		},
+		func(results []DecideResponseV2, coalesced int) any {
+			return BatchResponseV2{Results: results, Coalesced: coalesced}
+		})
+}
+
+// serveDecideJSON answers one JSON decide body in a version's shape: a
+// single request with its projection (or an error envelope carrying the
+// failure's status), a batch with 200 and batchBody's wrapping of the
+// per-item results (project and dup as for decideBatch).
+func serveDecideJSON[R any](s *Server, w http.ResponseWriter, r *http.Request,
+	project func(string, *offload.Outcome, *ErrorInfo) R, dup func(R) R, batchBody func([]R, int) any) {
+	one, batch, ok := s.parseDecide(w, r)
 	if !ok {
 		return
 	}
-	if req.Requests == nil {
-		out, ei := s.decideOne(r.Context(), req.DecideRequest)
+	if batch == nil {
+		out, ei := decide(r.Context(), s.rt, &one)
 		if ei != nil {
 			httpError(w, ei.status, ei.Code, ei.Message)
 			return
 		}
-		writeJSON(w, http.StatusOK, v2Response(req.Region, out))
+		writeJSON(w, http.StatusOK, project(one.Region, out, nil))
 		return
 	}
-	results := make([]DecideResponseV2, len(req.Requests))
-	coalesced := decideBatch(s, r.Context(), req.Requests, results,
-		func(req DecideRequest, out *offload.Outcome, ei *ErrorInfo) DecideResponseV2 {
-			if ei != nil {
-				return DecideResponseV2{Region: req.Region, Error: ei}
-			}
-			return v2Response(req.Region, out)
-		},
-		func(resp DecideResponseV2) DecideResponseV2 {
-			resp.CacheHit = resp.Error == nil
-			return resp
-		})
-	writeJSON(w, http.StatusOK, BatchResponseV2{Results: results, Coalesced: coalesced})
+	results := make([]R, len(batch))
+	coalesced := decideBatch(r.Context(), s.rt, batch, results, project, dup)
+	writeJSON(w, http.StatusOK, batchBody(results, coalesced))
 }
 
-// v1Response projects an outcome onto the frozen /v1 shape.
-func v1Response(region string, out *offload.Outcome) DecideResponse {
+// v1Response projects an outcome (or per-item failure) onto the frozen
+// /v1 shape.
+func v1Response(region string, out *offload.Outcome, ei *ErrorInfo) DecideResponse {
+	if ei != nil {
+		return DecideResponse{Region: region, Error: ei.Message}
+	}
 	return DecideResponse{
 		Region:         region,
 		Target:         out.Target.String(),
@@ -496,72 +508,24 @@ func v1Response(region string, out *offload.Outcome) DecideResponse {
 	}
 }
 
-// v2Response projects an outcome onto the ranked /v2 shape.
-func v2Response(region string, out *offload.Outcome) DecideResponseV2 {
-	return DecideResponseV2{
-		Region:        region,
-		Verdict:       out.TargetID,
-		Kind:          out.Target.String(),
-		Policy:        out.Policy.Name(),
-		Candidates:    out.Candidates,
-		SplitFraction: out.SplitFraction,
-		CacheHit:      out.CacheHit,
-		Provenance:    out.Provenance,
-		ActualSeconds: out.ActualSeconds,
-		DecisionNanos: out.DecisionOverhead.Nanoseconds(),
-	}
+// projectV2 renders one outcome (or per-item failure) in the ranked /v2
+// shape through the neutral projection every frame carries, so JSON,
+// frames and the client fallback agree field for field.
+func projectV2(region string, out *offload.Outcome, ei *ErrorInfo) DecideResponseV2 {
+	wr := projectWire(region, out, ei)
+	return ResponseV2FromWire(&wr)
 }
 
-// decideOne serves a single decision; a non-nil *ErrorInfo describes the
-// failure with its classification and HTTP status.
-func (s *Server) decideOne(ctx context.Context, req DecideRequest) (*offload.Outcome, *ErrorInfo) {
-	if req.Region == "" {
-		return nil, errInfo(http.StatusBadRequest, ErrCodeBadRequest, "missing region")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, errInfo(http.StatusServiceUnavailable, ErrCodeDeadlineExceeded, "deadline exceeded")
-	}
-	region, err := s.rt.Region(req.Region)
-	if err != nil {
-		return nil, classify(err)
-	}
-	b := symbolic.Bindings(req.Bindings)
-	var out *offload.Outcome
-	if req.Execute {
-		out, err = region.Launch(b)
-	} else {
-		out, err = region.Decide(b)
-	}
-	if err != nil {
-		return nil, classify(err)
-	}
-	return out, nil
-}
-
-// decideBatch serves a batch, coalescing duplicate (region, bindings,
-// execute) items: each distinct key is decided once — and every decide
-// after the first for a key is itself a decision-cache hit, so a batch
-// of identical requests costs one model evaluation at most. project
-// renders one decision; dup marks a coalesced duplicate's response.
-func decideBatch[R any](s *Server, ctx context.Context, reqs []DecideRequest, results []R,
-	project func(DecideRequest, *offload.Outcome, *ErrorInfo) R, dup func(R) R) int {
-	byKey := map[string]int{}
-	coalesced := 0
-	for i, req := range reqs {
-		key := req.Region + "\x00" + attrdb.BindingsKey(symbolic.Bindings(req.Bindings))
-		if req.Execute {
-			key += "\x00x"
-		}
-		if first, ok := byKey[key]; ok {
-			results[i] = dup(results[first])
-			coalesced++
-			continue
-		}
-		out, ei := s.decideOne(ctx, req)
-		byKey[key] = i
-		results[i] = project(req, out, ei)
-	}
-	return coalesced
+// DecideLocal serves one decision from an in-process runtime through the
+// daemon's own decide core and /v2 projection. A client degraded to its
+// fallback runtime calls it, so a degraded verdict — item-level failures
+// and their error codes included — is the one the daemon would serve.
+func DecideLocal(rt *offload.Runtime, req DecideRequest) DecideResponseV2 {
+	wr := req.toWire()
+	// The fallback is the caller's last resort after its own deadline
+	// has been spent on the remote, so it decides without one.
+	out, ei := decide(context.Background(), rt, &wr)
+	return projectV2(req.Region, out, ei)
 }
 
 // -------------------------------------------------------------- errors --
@@ -605,12 +569,6 @@ type ErrorEnvelope struct {
 func errInfo(status int, code, msg string) *ErrorInfo {
 	return &ErrorInfo{Code: code, Message: msg, status: status}
 }
-
-// ClassifyError maps a runtime error onto the envelope entry the daemon
-// would serve for it. Exported so a degraded client (serving verdicts
-// from its in-process fallback runtime) reports item-level failures with
-// exactly the daemon's error codes.
-func ClassifyError(err error) *ErrorInfo { return classify(err) }
 
 // classify maps a runtime error onto its envelope entry via the
 // runtime's sentinel errors.

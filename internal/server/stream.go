@@ -22,8 +22,9 @@ import (
 // the same per-connection machinery:
 //
 //   - one reader goroutine decoding frames incrementally,
-//   - a small worker pool running decideOneWire under the shared
-//     execution slots (the same workers that bound the HTTP path),
+//   - a small worker pool running the shared decide core (wire.go)
+//     under the shared execution slots (the same workers that bound
+//     the HTTP path),
 //   - a combining writer: workers append encoded response frames to a
 //     shared pending buffer and whichever worker finds the writer idle
 //     flushes the whole batch in one syscall, so bursts of completions
@@ -279,7 +280,7 @@ func (sc *streamConn) worker() {
 		if s.holdForTest != nil {
 			s.holdForTest()
 		}
-		out, ei := s.decideOneWire(sc.ctx, job.req)
+		out, ei := decide(sc.ctx, s.rt, job.req)
 		<-s.slots
 		resp := projectWireInto(job.req.Region, out, ei, cands[:0])
 		if resp.Candidates != nil {

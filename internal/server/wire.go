@@ -15,13 +15,16 @@ import (
 	"github.com/hybridsel/hybridsel/internal/wire"
 )
 
-// This file is the binary face of POST /v2/decide: the same decisions,
-// admission pipeline and error classification as the JSON path, framed
-// with internal/wire instead of encoding/json. Semantics are identical
-// by construction — both paths run through decideOne-shaped helpers and
-// classify — and enforced by TestWireMatchesJSON. Envelope errors
-// raised before negotiation (admission shedding, drain) still arrive as
-// JSON; everything after the Content-Type check answers in frames.
+// This file holds the server's one decide core and the binary face of
+// POST /v2/decide. Every codec — JSON bodies (converted to the named
+// wire form on decode), frame bodies, stream connections and the
+// client's in-process fallback (DecideLocal) — decides through decide,
+// coalesces batches through decideBatch and renders /v2 responses
+// through projectWireInto, so their semantics are identical by
+// construction (pinned by TestWireMatchesJSON and
+// TestWireBatchMatchesJSON). Envelope errors raised before negotiation
+// (admission shedding, drain) still arrive as JSON; everything after
+// the Content-Type check answers in frames.
 
 // handleDecideWire serves a body of one or more request frames. A body
 // holding exactly one TypeRequest frame mirrors the single-object JSON
@@ -54,7 +57,7 @@ func (s *Server) handleDecideWire(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if n == len(body) && first.Type == wire.TypeRequest {
-		out, ei := s.decideOneWire(r.Context(), first.Req)
+		out, ei := decide(r.Context(), s.rt, first.Req)
 		if ei != nil {
 			wireError(w, ei.status, ei.Code, ei.Message)
 			return
@@ -95,13 +98,17 @@ func (s *Server) handleDecideWire(w http.ResponseWriter, r *http.Request) {
 	b := sc.enc[:0]
 	for _, fr := range frames {
 		if fr.Type == wire.TypeRequest {
-			out, ei := s.decideOneWire(r.Context(), fr.Req)
+			out, ei := decide(r.Context(), s.rt, fr.Req)
 			resp := projectWire(fr.Req.Region, out, ei)
 			b = wire.AppendResponse(b, &resp)
 			continue
 		}
 		results := make([]wire.Response, len(fr.Reqs))
-		coalesced := s.decideWireBatch(r.Context(), fr.Reqs, results)
+		coalesced := decideBatch(r.Context(), s.rt, fr.Reqs, results, projectWire,
+			func(resp wire.Response) wire.Response {
+				resp.CacheHit = resp.Err == nil
+				return resp
+			})
 		b = wire.AppendBatchResponse(b, coalesced, results)
 	}
 	sc.enc = b
@@ -131,19 +138,21 @@ func appendBody(dst []byte, w http.ResponseWriter, r *http.Request) ([]byte, err
 	}
 }
 
-// decideOneWire is decideOne over a wire request. Slot-form bindings
-// skip the map entirely on the decide path: after verifying the key
-// hash (an end-to-end checksum of the client's idea of the region's
-// parameter set), the values drop straight into the region's pooled
-// slot vectors via DecideVals.
-func (s *Server) decideOneWire(ctx context.Context, req *wire.Request) (*offload.Outcome, *ErrorInfo) {
+// decide is the server's one decision core: it resolves a wire request
+// against rt and runs it, returning the outcome or the failure with its
+// classification and HTTP status. Slot-form bindings skip the map
+// entirely on the decide path: after verifying the key hash (an
+// end-to-end checksum of the client's idea of the region's parameter
+// set), the values drop straight into the region's pooled slot vectors
+// via DecideVals. Named bindings resolve through a map.
+func decide(ctx context.Context, rt *offload.Runtime, req *wire.Request) (*offload.Outcome, *ErrorInfo) {
 	if req.Region == "" {
 		return nil, errInfo(http.StatusBadRequest, ErrCodeBadRequest, "missing region")
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, errInfo(http.StatusServiceUnavailable, ErrCodeDeadlineExceeded, "deadline exceeded")
 	}
-	region, err := s.rt.Region(req.Region)
+	region, err := rt.Region(req.Region)
 	if err != nil {
 		return nil, classify(err)
 	}
@@ -193,25 +202,27 @@ func (s *Server) decideOneWire(ctx context.Context, req *wire.Request) (*offload
 	return out, nil
 }
 
-// decideWireBatch mirrors decideBatch's coalescing contract over wire
-// requests: duplicate (region, bindings, execute) items are answered by
-// the first item's decision and marked CacheHit.
-func (s *Server) decideWireBatch(ctx context.Context, reqs []wire.Request, results []wire.Response) int {
+// decideBatch serves a batch, coalescing duplicate (region, bindings,
+// execute) items: each distinct key is decided once — and every decide
+// after the first for a key is itself a decision-cache hit, so a batch
+// of identical requests costs one model evaluation at most. project
+// renders one decision in the codec's shape; dup marks a copy of the
+// first item's response as a coalesced duplicate's.
+func decideBatch[R any](ctx context.Context, rt *offload.Runtime, reqs []wire.Request, results []R,
+	project func(string, *offload.Outcome, *ErrorInfo) R, dup func(R) R) int {
 	byKey := map[string]int{}
 	coalesced := 0
 	var keyBuf []byte
 	for i := range reqs {
 		keyBuf = wireCoalesceKey(keyBuf[:0], &reqs[i])
-		key := string(keyBuf)
-		if first, ok := byKey[key]; ok {
-			results[i] = results[first]
-			results[i].CacheHit = results[i].Err == nil
+		if first, ok := byKey[string(keyBuf)]; ok {
+			results[i] = dup(results[first])
 			coalesced++
 			continue
 		}
-		out, ei := s.decideOneWire(ctx, &reqs[i])
-		byKey[key] = i
-		results[i] = projectWire(reqs[i].Region, out, ei)
+		out, ei := decide(ctx, rt, &reqs[i])
+		byKey[string(keyBuf)] = i
+		results[i] = project(reqs[i].Region, out, ei)
 	}
 	return coalesced
 }
@@ -219,7 +230,7 @@ func (s *Server) decideWireBatch(ctx context.Context, reqs []wire.Request, resul
 // wireCoalesceKey builds the duplicate-detection key for one request.
 // Slot-form values are already canonical (sorted-name order), so their
 // raw encoding is the key; named form canonicalizes through
-// attrdb.BindingsKey exactly like the JSON batch path.
+// attrdb.BindingsKey.
 func wireCoalesceKey(dst []byte, req *wire.Request) []byte {
 	dst = append(dst, req.Region...)
 	dst = append(dst, 0)
@@ -242,7 +253,8 @@ func wireCoalesceKey(dst []byte, req *wire.Request) []byte {
 }
 
 // projectWire renders one outcome (or per-item failure) as a response
-// payload, mirroring v2Response field for field.
+// payload: the neutral /v2 projection (projectV2 and ResponseV2FromWire
+// carry it onto the JSON shape).
 func projectWire(region string, out *offload.Outcome, ei *ErrorInfo) wire.Response {
 	return projectWireInto(region, out, ei, nil)
 }
@@ -280,6 +292,50 @@ func projectWireInto(region string, out *offload.Outcome, ei *ErrorInfo, cands [
 			})
 		}
 		resp.Candidates = cands
+	}
+	return resp
+}
+
+// ResponseV2FromWire carries a response frame onto the JSON /v2 shape.
+// It is the one place the neutral projection becomes a
+// DecideResponseV2: the server's JSON encoder and the client's frame
+// decoding both go through it, so callers see one Verdict shape
+// regardless of encoding.
+func ResponseV2FromWire(wr *wire.Response) DecideResponseV2 {
+	resp := DecideResponseV2{
+		Region:        wr.Region,
+		Verdict:       wr.Verdict,
+		Kind:          wr.Kind,
+		Policy:        wr.Policy,
+		Provenance:    wr.Provenance,
+		SplitFraction: wr.SplitFraction,
+		CacheHit:      wr.CacheHit,
+		ActualSeconds: wr.ActualSeconds,
+		DecisionNanos: wr.DecisionNanos,
+	}
+	if wr.Err != nil {
+		resp.Error = &ErrorInfo{
+			Code:       wr.Err.Code,
+			Message:    wr.Err.Message,
+			RetryAfter: wr.Err.RetryAfterSeconds,
+		}
+		return resp
+	}
+	if n := len(wr.Candidates); n > 0 {
+		resp.Candidates = make([]offload.Candidate, n)
+		for i := range wr.Candidates {
+			wc := &wr.Candidates[i]
+			kind := offload.KindCPU
+			if wc.Kind == offload.KindGPU.String() {
+				kind = offload.KindGPU
+			}
+			resp.Candidates[i] = offload.Candidate{
+				Target:      wc.Target,
+				Kind:        kind,
+				PredSeconds: wc.PredSeconds,
+				CalSeconds:  wc.CalSeconds,
+			}
+		}
 	}
 	return resp
 }

@@ -245,26 +245,60 @@ func postDecideV2(t *testing.T, url string, body string) (*http.Response, []byte
 	return resp, raw
 }
 
-// TestWireBatchMatchesJSON: batch frames mirror the JSON batch contract
-// — 200 with per-item errors inside, duplicates coalesced and marked
-// CacheHit.
+// TestWireBatchMatchesJSON: a batch posted as frames answers exactly
+// like the same batch posted as a /v2 JSON body — item for item, per-item
+// errors included, with the same duplicates coalesced — and the /v1 JSON
+// batch coalesces the same items. Every codec shares one batch coalescer.
 func TestWireBatchMatchesJSON(t *testing.T) {
-	s := testServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	type item struct {
+		req  DecideRequest
+		slot bool // frame form: slot vector instead of named bindings
+	}
+	items := []item{
+		{DecideRequest{Region: "gemm", Bindings: map[string]int64{"n": 128}}, true},
+		{DecideRequest{Region: "mvt1", Bindings: map[string]int64{"n": 512}}, false},
+		{DecideRequest{Region: "nope", Bindings: map[string]int64{"n": 4}}, false}, // unknown region
+		{DecideRequest{Region: "mvt1", Bindings: map[string]int64{"m": 4}}, false}, // unbound symbol
+		{DecideRequest{Region: "mvt1", Bindings: map[string]int64{"n": 256}, Execute: true}, true},
+		{DecideRequest{Region: "gemm", Bindings: map[string]int64{"n": 128}}, true},  // duplicate of item 0
+		{DecideRequest{Region: "mvt1", Bindings: map[string]int64{"n": 512}}, false}, // duplicate of item 1
+	}
+	const wantCoalesced = 2
+	jsonReqs := make([]DecideRequest, len(items))
+	wireReqs := make([]wire.Request, len(items))
+	for i, it := range items {
+		jsonReqs[i] = it.req
+		if it.slot {
+			wireReqs[i] = wireReqFor(it.req.Region, it.req.Bindings)
+		} else {
+			wireReqs[i] = namedReqFor(it.req.Region, it.req.Bindings)
+		}
+		wireReqs[i].Execute = it.req.Execute
+	}
+	jsonBody, err := json.Marshal(map[string]any{"requests": jsonReqs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func() string {
+		ts := httptest.NewServer(testServer(t, Config{}).Handler())
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
 
-	gemm := symbolic.Bindings{"n": 128}
-	reqs := []wire.Request{
-		wireReqFor("gemm", gemm),
-		namedReqFor("mvt1", symbolic.Bindings{"n": 512}),
-		{Region: "nope", Names: []string{"n"}, Values: []int64{4}},
-		wireReqFor("gemm", gemm), // duplicate of item 0
+	jr, jraw := postDecideV2(t, fresh(), string(jsonBody))
+	if jr.StatusCode != http.StatusOK {
+		t.Fatalf("json status %d: %s", jr.StatusCode, jraw)
 	}
-	resp, raw := postWire(t, ts.URL, wire.AppendBatchRequest(nil, reqs))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %x", resp.StatusCode, raw)
+	var jbatch BatchResponseV2
+	if err := json.Unmarshal(jraw, &jbatch); err != nil {
+		t.Fatal(err)
 	}
-	frames, err := wire.DecodeAll(raw)
+
+	wr, wraw := postWire(t, fresh(), wire.AppendBatchRequest(nil, wireReqs))
+	if wr.StatusCode != http.StatusOK {
+		t.Fatalf("frame status %d: %x", wr.StatusCode, wraw)
+	}
+	frames, err := wire.DecodeAll(wraw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,20 +306,43 @@ func TestWireBatchMatchesJSON(t *testing.T) {
 		t.Fatalf("frames %+v", frames)
 	}
 	fr := frames[0]
-	if fr.Coalesced != 1 {
-		t.Fatalf("coalesced = %d, want 1", fr.Coalesced)
+
+	if jbatch.Coalesced != wantCoalesced || fr.Coalesced != wantCoalesced {
+		t.Fatalf("coalesced: json %d, frames %d, want %d", jbatch.Coalesced, fr.Coalesced, wantCoalesced)
 	}
-	if len(fr.Resps) != 4 {
-		t.Fatalf("%d results", len(fr.Resps))
+	if len(jbatch.Results) != len(items) || len(fr.Resps) != len(items) {
+		t.Fatalf("results: json %d, frames %d, want %d", len(jbatch.Results), len(fr.Resps), len(items))
 	}
-	if fr.Resps[0].Err != nil || fr.Resps[0].Verdict == "" {
-		t.Fatalf("item 0: %+v", fr.Resps[0])
+	for i := range items {
+		got := wireToV2(t, &fr.Resps[i])
+		want := jbatch.Results[i]
+		got.DecisionNanos, want.DecisionNanos = 0, 0
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("item %d:\nframes %+v\njson   %+v", i, got, want)
+		}
 	}
-	if fr.Resps[2].Err == nil || fr.Resps[2].Err.Code != ErrCodeUnknownRegion {
-		t.Fatalf("item 2: %+v", fr.Resps[2])
+	for i, code := range map[int]string{2: ErrCodeUnknownRegion, 3: ErrCodeUnboundSymbol} {
+		if e := jbatch.Results[i].Error; e == nil || e.Code != code {
+			t.Fatalf("item %d error %+v, want code %s", i, e, code)
+		}
 	}
-	if !fr.Resps[3].CacheHit || fr.Resps[3].Verdict != fr.Resps[0].Verdict {
-		t.Fatalf("coalesced dup: %+v", fr.Resps[3])
+	if jbatch.Results[4].ActualSeconds <= 0 {
+		t.Fatalf("execute item did not execute: %+v", jbatch.Results[4])
+	}
+	if !jbatch.Results[5].CacheHit || jbatch.Results[5].Verdict != jbatch.Results[0].Verdict {
+		t.Fatalf("coalesced dup: %+v", jbatch.Results[5])
+	}
+
+	vr, vraw := postDecide(t, fresh(), string(jsonBody))
+	if vr.StatusCode != http.StatusOK {
+		t.Fatalf("v1 status %d: %s", vr.StatusCode, vraw)
+	}
+	var vbatch BatchResponse
+	if err := json.Unmarshal(vraw, &vbatch); err != nil {
+		t.Fatal(err)
+	}
+	if vbatch.Coalesced != wantCoalesced {
+		t.Fatalf("v1 coalesced = %d, want %d", vbatch.Coalesced, wantCoalesced)
 	}
 }
 

@@ -21,11 +21,12 @@ go run ./cmd/apidump -check api/exported.txt
 echo "== go test =="
 go test ./...
 
-echo "== go test -cpu 1,2,4 (transport packages) =="
-# Stream credit accounting, the hedge race and the decoder are
-# scheduler-sensitive: run them at several GOMAXPROCS so an ordering
-# bug fails here instead of intermittently.
-go test -count=1 -cpu 1,2,4 ./internal/server/ ./internal/client/ ./internal/wire/
+echo "== go test -cpu 1,2,4 (transport and cluster packages) =="
+# Stream credit accounting, the hedge race, the decoder and gossip
+# convergence are scheduler-sensitive: run them at several GOMAXPROCS so
+# an ordering bug fails here instead of intermittently.
+go test -count=1 -cpu 1,2,4 ./internal/server/ ./internal/client/ ./internal/wire/ \
+	./internal/cluster/
 
 echo "== go test -race (concurrent packages) =="
 go test -race ./internal/offload/ ./internal/experiments/ \
@@ -37,6 +38,7 @@ echo "== fuzz smoke (10s per parser) =="
 # Short randomized runs on top of the checked-in seed corpora, one
 # invocation per target (go test allows a single -fuzz per package run).
 go test -run '^$' -fuzz '^FuzzParsePolicy$' -fuzztime 10s ./internal/offload/
+go test -run '^$' -fuzz '^FuzzParseConstraint$' -fuzztime 10s ./internal/offload/
 go test -run '^$' -fuzz '^FuzzDecideBody$' -fuzztime 10s ./internal/server/
 go test -run '^$' -fuzz '^FuzzDecideBodyV2$' -fuzztime 10s ./internal/server/
 go test -run '^$' -fuzz '^FuzzTraceRead$' -fuzztime 10s ./internal/trace/
